@@ -25,9 +25,7 @@
 //!   pushes independent requests through the `spq-mapreduce` worker pool
 //!   — parallelism comes from **inter-query concurrency** (each query
 //!   runs as a single-threaded job), the right shape for high-QPS
-//!   traffic of many small queries. The plain-`SpqQuery` methods
-//!   ([`query`](QueryEngine::query) and friends) are deprecated shims
-//!   over the same machinery.
+//!   traffic of many small queries.
 //!
 //! Determinism carries over from the job runner: for a fixed engine and
 //! query, every entry point returns the same bytes regardless of worker
@@ -73,11 +71,10 @@ use crate::service::{
 };
 use crate::store::{ObjectRef, SharedDataset};
 use parking_lot::Mutex;
-use spq_mapreduce::pool::run_tasks;
 use spq_mapreduce::{ClusterConfig, JobContext};
 use spq_spatial::SpacePartition;
 use spq_text::{KeywordSet, Term};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -281,9 +278,11 @@ impl MetricsSnapshot {
 /// Upper bound on cached per-radius plans. Serving workloads use a small
 /// set of radius classes, so the bound exists purely as a memory safety
 /// valve against adversarial streams of distinct radii: each plan pins an
-/// `O(|O| + |F|·duplication)` routing table, and on overflow an arbitrary
-/// cached plan is evicted (plans rebuild deterministically, so eviction
-/// only costs time, never correctness).
+/// `O(|O| + |F|·duplication)` routing table. On overflow the plan that was
+/// inserted first is evicted (FIFO in insertion order), so which plans
+/// survive — and with them the plan-cache hit/miss counters — is a
+/// function of the query sequence alone. Plans rebuild deterministically,
+/// so eviction only costs time, never correctness.
 const MAX_CACHED_PLANS: usize = 64;
 
 /// A long-lived SPQ serving engine over one dataset.
@@ -293,10 +292,12 @@ const MAX_CACHED_PLANS: usize = 64;
 /// per-radius partition plans are built lazily by the first query that
 /// needs them and cached (keyed by the exact radius bits — real
 /// workloads use a small set of radius classes; a bound of 64 plans
-/// guards against unbounded-radius streams, evicting arbitrarily).
+/// guards against unbounded-radius streams, evicting the oldest plan).
 ///
-/// The engine is `Sync`: [`serve`](QueryEngine::serve) shares it across
-/// the worker pool, and external callers may do the same.
+/// The engine is `Sync`:
+/// [`serve_requests`](crate::service::QueryExecutor::serve_requests)
+/// shares it across the worker pool, and external callers may do the
+/// same.
 #[derive(Debug)]
 pub struct QueryEngine {
     exec: SpqExecutor,
@@ -307,14 +308,16 @@ pub struct QueryEngine {
     /// candidate-pruned batch split.
     data_splits: Vec<Vec<ObjectRef>>,
     keyword_index: KeywordIndex,
-    plans: Mutex<HashMap<u64, Arc<PartitionPlan>>>,
+    /// Cached plans keyed by radius bits, oldest insert first.
+    plans: Mutex<VecDeque<(u64, Arc<PartitionPlan>)>>,
     ctx: JobContext,
     metrics: EngineMetrics,
 }
 
 /// The engine's default split count — matches
-/// [`SpqExecutor::run_dataset`], so `engine.query` is byte-identical to
-/// the per-query path it replaces.
+/// [`SpqExecutor::run_dataset`], so
+/// [`execute`](crate::service::QueryExecutor::execute) is byte-identical
+/// to the per-query path it replaces.
 pub const DEFAULT_NUM_SPLITS: usize = 8;
 
 impl QueryEngine {
@@ -355,7 +358,7 @@ impl QueryEngine {
             splits,
             data_splits,
             keyword_index,
-            plans: Mutex::new(HashMap::new()),
+            plans: Mutex::new(VecDeque::new()),
             ctx: JobContext::new(),
             metrics: EngineMetrics::default(),
         }
@@ -429,9 +432,15 @@ impl QueryEngine {
     /// Returns the plan together with whether it was a cache hit.
     fn plan(&self, query: &SpqQuery) -> (Arc<PartitionPlan>, bool) {
         let key = query.radius.to_bits();
-        if let Some(plan) = self.plans.lock().get(&key) {
+        let cached = |plans: &VecDeque<(u64, Arc<PartitionPlan>)>| {
+            plans
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, plan)| Arc::clone(plan))
+        };
+        if let Some(plan) = cached(&self.plans.lock()) {
             self.metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(plan), true);
+            return (plan, true);
         }
         self.metrics
             .plan_cache_misses
@@ -448,25 +457,18 @@ impl QueryEngine {
             routing,
         });
         let mut plans = self.plans.lock();
-        if plans.len() >= MAX_CACHED_PLANS && !plans.contains_key(&key) {
-            if let Some(&evict) = plans.keys().next() {
-                plans.remove(&evict);
-            }
+        if let Some(raced) = cached(&plans) {
+            return (raced, false);
         }
-        (Arc::clone(plans.entry(key).or_insert(plan)), false)
+        if plans.len() >= MAX_CACHED_PLANS {
+            plans.pop_front();
+        }
+        plans.push_back((key, Arc::clone(&plan)));
+        (plan, false)
     }
 
-    fn run_with(
-        &self,
-        exec: &SpqExecutor,
-        splits: &[Vec<ObjectRef>],
-        query: &SpqQuery,
-    ) -> Result<SpqResult, SpqError> {
-        Ok(self.run_measured(exec, splits, query)?.0)
-    }
-
-    /// [`run_with`](Self::run_with) that also reports whether the
-    /// partition plan was served from cache.
+    /// Runs `query` over `splits` on the cached plan for its radius,
+    /// reporting whether the plan was served from cache.
     fn run_measured(
         &self,
         exec: &SpqExecutor,
@@ -486,60 +488,14 @@ impl QueryEngine {
         Ok((result, hit))
     }
 
-    /// Evaluates one query against the prebuilt state.
-    ///
-    /// Byte-identical — results, counters, record counts — to a fresh
-    /// [`SpqExecutor::run_dataset`] job over the same dataset; only the
-    /// plan/routing work is served from cache instead of being redone.
-    #[deprecated(
-        note = "use the typed path: `QueryExecutor::execute` with a `QueryRequest` \
-                (validates first and reports per-query stats)"
-    )]
-    pub fn query(&self, query: &SpqQuery) -> Result<SpqResult, SpqError> {
-        self.run_with(&self.exec, &self.splits, query)
-    }
-
-    /// [`query`](Self::query) forced onto a single-threaded job — the
-    /// per-query building block of [`serve`](Self::serve), where
-    /// parallelism comes from running many such jobs concurrently. Same
-    /// bytes as `query` (jobs are worker-count-invariant).
+    /// Evaluates one query on a single-threaded job against the prebuilt
+    /// state — the per-query building block of
+    /// [`serve_requests`](crate::service::QueryExecutor::serve_requests),
+    /// where parallelism comes from running many such jobs concurrently.
+    /// Byte-identical to a fresh [`SpqExecutor::run_dataset`] job (jobs
+    /// are worker-count-invariant); returns the raw [`SpqResult`].
     pub fn query_sequential(&self, query: &SpqQuery) -> Result<SpqResult, SpqError> {
-        self.run_with(&self.serve_exec, &self.splits, query)
-    }
-
-    /// Evaluates a batch of queries, sharing the build-once structures
-    /// across the batch and pruning each query's map pass down to its
-    /// candidate features.
-    ///
-    /// Instead of letting every job test `q.W ∩ f.W` against all of `F`,
-    /// the batch resolves each query's matching features through the
-    /// [`KeywordIndex`] (one probe per query keyword) and maps over
-    /// splits containing only those candidates — the cells, scores and
-    /// emitted records are exactly those of [`query`](Self::query), so
-    /// `top_k` is byte-identical; only input-side statistics (map records
-    /// in, pruned-feature counters) differ, because pruned features are
-    /// no longer read at all. With keyword pruning disabled on the
-    /// executor (the shuffle-ablation mode), the batch falls back to full
-    /// splits.
-    ///
-    /// Results are returned in query order.
-    #[deprecated(
-        note = "use the typed path: `QueryExecutor::execute_batch` with `QueryRequest`s \
-                (same coalesced pruning, plus validation and per-query stats)"
-    )]
-    pub fn query_batch(&self, queries: &[SpqQuery]) -> Result<Vec<SpqResult>, SpqError> {
-        queries
-            .iter()
-            .map(|query| {
-                if self.exec.keyword_pruning_enabled() {
-                    let candidates = self.keyword_index.candidates(&query.keywords);
-                    let splits = self.candidate_splits(&candidates);
-                    self.run_with(&self.exec, &splits, query)
-                } else {
-                    self.run_with(&self.exec, &self.splits, query)
-                }
-            })
-            .collect()
+        Ok(self.run_measured(&self.serve_exec, &self.splits, query)?.0)
     }
 
     /// Builds batch splits holding every data object plus only the
@@ -553,40 +509,6 @@ impl QueryEngine {
             splits[i as usize % n].push(ObjectRef::Feature(i));
         }
         splits
-    }
-
-    /// Evaluates independent queries concurrently on `workers` threads of
-    /// the `spq-mapreduce` pool, each as a single-threaded job
-    /// ([`query_sequential`](Self::query_sequential)) — inter-query
-    /// concurrency instead of intra-query splits, so a stream of small
-    /// queries saturates the host without oversubscribing it.
-    ///
-    /// Results come back in query order and are byte-identical to calling
-    /// [`query`](Self::query) sequentially, for any worker count.
-    #[deprecated(
-        note = "use the typed path: `QueryExecutor::serve_requests` with `QueryRequest`s, \
-                or the `crate::serve::AdmissionQueue` front-end for live traffic"
-    )]
-    pub fn serve(&self, queries: &[SpqQuery], workers: usize) -> Result<Vec<SpqResult>, SpqError> {
-        let outcomes = run_tasks(workers.max(1), queries.len(), |i| {
-            self.query_sequential(&queries[i])
-        })
-        .map_err(|p| SpqError::Worker {
-            message: format!("query {}: {}", p.task_index, p.message),
-        })?;
-        outcomes.into_iter().collect()
-    }
-
-    /// [`serve`](Self::serve) with the worker count of
-    /// [`ClusterConfig::auto`] — which honours the `SPQ_WORKERS`
-    /// environment override and falls back to 4 workers on hosts that do
-    /// not report their parallelism (see
-    /// [`ClusterConfig::auto`] for the full resolution order).
-    #[deprecated(note = "use the typed path: `QueryExecutor::serve_requests` with \
-                `ClusterConfig::auto().workers`")]
-    pub fn serve_auto(&self, queries: &[SpqQuery]) -> Result<Vec<SpqResult>, SpqError> {
-        #[allow(deprecated)] // a shim forwarding to its sibling shim
-        self.serve(queries, ClusterConfig::auto().workers)
     }
 
     // ---- The typed request path (crate::service) ------------------------
@@ -623,8 +545,7 @@ impl QueryEngine {
 
     /// Runs one query under per-request options; `sequential` forces a
     /// single-threaded job (the serve-worker building block), exactly as
-    /// [`query_sequential`](Self::query_sequential) does for the shim
-    /// path.
+    /// [`query_sequential`](Self::query_sequential) does.
     pub(crate) fn run_opts(
         &self,
         query: &SpqQuery,
@@ -752,10 +673,6 @@ impl QueryExecutor for QueryEngine {
 }
 
 #[cfg(test)]
-// The tests below deliberately exercise the deprecated plain-`SpqQuery`
-// shims: they are the parity coverage that keeps `query`/`query_batch`/
-// `serve` byte-identical to the typed path for as long as the shims live.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::model::DataObject;
@@ -793,6 +710,13 @@ mod tests {
 
     fn executor() -> SpqExecutor {
         SpqExecutor::new(Rect::from_coords(0.0, 0.0, 10.0, 10.0)).grid_size(4)
+    }
+
+    fn results(engine: &QueryEngine, query: &SpqQuery) -> Vec<crate::model::RankedObject> {
+        engine
+            .execute(&QueryRequest::new(query.clone()))
+            .unwrap()
+            .results
     }
 
     #[test]
@@ -842,10 +766,7 @@ mod tests {
         // Same bytes as an engine built the usual way.
         let q = SpqQuery::new(2, 1.5, KeywordSet::from_ids([0]));
         let other = QueryEngine::new(executor(), ds);
-        assert_eq!(
-            engine.query(&q).unwrap().top_k,
-            other.query(&q).unwrap().top_k
-        );
+        assert_eq!(results(&engine, &q), results(&other, &q));
     }
 
     #[test]
@@ -872,12 +793,15 @@ mod tests {
         for (k, r, kw) in [(1, 1.5, vec![0]), (3, 1.5, vec![0]), (2, 2.5, vec![0, 4])] {
             let q = SpqQuery::new(k, r, KeywordSet::from_ids(kw));
             let fresh = exec.run_dataset(&dataset, &q).unwrap();
-            let served = engine.query(&q).unwrap();
-            assert_eq!(served.top_k, fresh.top_k);
-            assert_eq!(served.stats.counters, fresh.stats.counters);
-            assert_eq!(served.stats.shuffle_records, fresh.stats.shuffle_records);
+            let served = engine
+                .execute(&QueryRequest::new(q.clone()).with_trace())
+                .unwrap();
+            let job = &served.trace.as_ref().unwrap()[0];
+            assert_eq!(served.results, fresh.top_k);
+            assert_eq!(job.counters, fresh.stats.counters);
+            assert_eq!(job.shuffle_records, fresh.stats.shuffle_records);
             // Replays are stable.
-            assert_eq!(engine.query(&q).unwrap().top_k, served.top_k);
+            assert_eq!(results(&engine, &q), served.results);
         }
         assert_eq!(engine.cached_plans(), 2); // radii 1.5 and 2.5
     }
@@ -885,33 +809,33 @@ mod tests {
     #[test]
     fn batch_matches_single_queries() {
         let engine = QueryEngine::new(executor(), paper_dataset());
-        let queries: Vec<SpqQuery> = [
+        let requests: Vec<QueryRequest> = [
             (1usize, 1.5, vec![0u32]),
             (3, 1.5, vec![0]),
             (2, 2.0, vec![4, 5]),
         ]
         .into_iter()
-        .map(|(k, r, kw)| SpqQuery::new(k, r, KeywordSet::from_ids(kw)))
+        .map(|(k, r, kw)| QueryRequest::new(SpqQuery::new(k, r, KeywordSet::from_ids(kw))))
         .collect();
-        let batch = engine.query_batch(&queries).unwrap();
-        for (q, b) in queries.iter().zip(&batch) {
-            assert_eq!(b.top_k, engine.query(q).unwrap().top_k, "{q}");
+        let batch = engine.execute_batch(&requests).unwrap();
+        for (r, b) in requests.iter().zip(&batch) {
+            assert_eq!(b.results, results(&engine, &r.query), "{}", r.query);
         }
     }
 
     #[test]
     fn serve_preserves_query_order_for_any_worker_count() {
         let engine = QueryEngine::new(executor(), paper_dataset());
-        let queries: Vec<SpqQuery> = (1..=5)
-            .map(|k| SpqQuery::new(k, 1.5, KeywordSet::from_ids([0])))
+        let requests: Vec<QueryRequest> = (1..=5)
+            .map(|k| QueryRequest::new(SpqQuery::new(k, 1.5, KeywordSet::from_ids([0]))))
             .collect();
-        let sequential: Vec<_> = queries
+        let sequential: Vec<_> = requests
             .iter()
-            .map(|q| engine.query(q).unwrap().top_k)
+            .map(|r| results(&engine, &r.query))
             .collect();
         for workers in [1, 2, 8] {
-            let served = engine.serve(&queries, workers).unwrap();
-            let got: Vec<_> = served.into_iter().map(|r| r.top_k).collect();
+            let served = engine.serve_requests(&requests, workers).unwrap();
+            let got: Vec<_> = served.into_iter().map(|r| r.results).collect();
             assert_eq!(got, sequential, "workers={workers}");
         }
     }
@@ -922,9 +846,11 @@ mod tests {
         let dataset = paper_dataset();
         let engine = QueryEngine::new(exec.clone(), dataset.clone());
         let q = SpqQuery::new(3, 1.5, KeywordSet::from_ids([0]));
-        let batch = engine.query_batch(std::slice::from_ref(&q)).unwrap();
+        let batch = engine
+            .execute_batch(&[QueryRequest::new(q.clone())])
+            .unwrap();
         assert_eq!(
-            batch[0].top_k,
+            batch[0].results,
             exec.run_dataset(&dataset, &q).unwrap().top_k
         );
     }
@@ -935,26 +861,36 @@ mod tests {
         // An adversarial stream of distinct radii must not grow the cache
         // past the bound — and eviction must not disturb results.
         let q_at = |r: f64| SpqQuery::new(1, r, KeywordSet::from_ids([0]));
-        let expect = engine.query(&q_at(1.5)).unwrap().top_k;
+        let expect = results(&engine, &q_at(1.5));
         for i in 0..(MAX_CACHED_PLANS + 20) {
             let r = 1.0 + i as f64 * 1e-3;
-            engine.query(&q_at(r)).unwrap();
+            results(&engine, &q_at(r));
             assert!(engine.cached_plans() <= MAX_CACHED_PLANS);
         }
-        assert_eq!(engine.query(&q_at(1.5)).unwrap().top_k, expect);
+        assert_eq!(results(&engine, &q_at(1.5)), expect);
     }
 
     #[test]
-    fn deprecated_shims_match_typed_path() {
+    fn plan_cache_evicts_the_oldest_radius() {
         let engine = QueryEngine::new(executor(), paper_dataset());
-        let q = SpqQuery::new(3, 1.5, KeywordSet::from_ids([0]));
-        let typed = engine.execute(&QueryRequest::new(q.clone())).unwrap();
-        assert_eq!(engine.query(&q).unwrap().top_k, typed.results);
-        assert_eq!(
-            engine.query_batch(std::slice::from_ref(&q)).unwrap()[0].top_k,
-            typed.results
-        );
-        assert_eq!(engine.serve(&[q], 2).unwrap()[0].top_k, typed.results);
+        let radius = |i: usize| 1.0 + i as f64 * 1e-3;
+        let q_at = |i: usize| SpqQuery::new(1, radius(i), KeywordSet::from_ids([0]));
+        let distinct = MAX_CACHED_PLANS as u64 + 1;
+        for i in 0..=MAX_CACHED_PLANS {
+            results(&engine, &q_at(i));
+        }
+        assert_eq!(engine.metrics().plan_cache_misses, distinct);
+        // The 65th radius evicted the first one and nothing else: every
+        // later radius is still served from cache...
+        for i in 1..=MAX_CACHED_PLANS {
+            results(&engine, &q_at(i));
+        }
+        let metrics = engine.metrics();
+        assert_eq!(metrics.plan_cache_hits, MAX_CACHED_PLANS as u64);
+        assert_eq!(metrics.plan_cache_misses, distinct);
+        // ...and the first radius has to be planned again.
+        results(&engine, &q_at(0));
+        assert_eq!(engine.metrics().plan_cache_misses, distinct + 1);
     }
 
     #[test]

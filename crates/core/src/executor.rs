@@ -10,7 +10,7 @@ use crate::partitioning::CellRouting;
 use crate::query::SpqQuery;
 use crate::store::{ObjectRef, SharedDataset};
 use crate::theory::auto_grid_size;
-use spq_mapreduce::{ClusterConfig, ExecutionBackend, JobContext, JobError, JobStats, LocalPool};
+use spq_mapreduce::{ClusterConfig, JobContext, JobError, JobRunner, JobStats};
 use spq_spatial::{AdaptiveGrid, Grid, Point, Rect, SpacePartition};
 use std::fmt;
 use std::sync::Arc;
@@ -78,16 +78,15 @@ pub enum LoadBalancing {
 pub enum SpqError {
     /// The underlying MapReduce job failed.
     Job(JobError),
-    /// A query worker of [`crate::engine::QueryEngine::serve`] panicked
-    /// outside any MapReduce phase.
+    /// A query worker of
+    /// [`serve_requests`](crate::service::QueryExecutor::serve_requests)
+    /// panicked outside any MapReduce phase.
     Worker {
         /// Human-readable description of the failed query task.
         message: String,
     },
     /// A request was rejected before execution (non-finite radius, `k` of
-    /// zero, a zero worker budget, …). Only the typed request path
-    /// validates; the plain-`SpqQuery` shims keep their permissive
-    /// historical behaviour.
+    /// zero, a zero worker budget, …) by [`crate::QueryRequest::validate`].
     InvalidQuery {
         /// What was wrong with the request.
         message: String,
@@ -481,35 +480,6 @@ impl SpqExecutor {
         routing: Option<&CellRouting>,
         ctx: Option<&JobContext>,
     ) -> Result<SpqResult, SpqError> {
-        self.run_planned_on(
-            &LocalPool::new(self.cluster),
-            dataset,
-            splits,
-            query,
-            partition,
-            routing,
-            ctx,
-        )
-    }
-
-    /// [`run_planned`](Self::run_planned) over an explicit
-    /// [`ExecutionBackend`] — the seam through which the same planned
-    /// job's map/reduce tasks can be placed somewhere other than the
-    /// in-process pool (the executor's own cluster configuration is
-    /// ignored; placement is entirely the backend's). Every backend
-    /// honouring the [`ExecutionBackend`] determinism contract returns
-    /// byte-identical results here.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_planned_on<B: ExecutionBackend>(
-        &self,
-        backend: &B,
-        dataset: &SharedDataset,
-        splits: &[Vec<ObjectRef>],
-        query: &SpqQuery,
-        partition: Arc<SpacePartition>,
-        routing: Option<&CellRouting>,
-        ctx: Option<&JobContext>,
-    ) -> Result<SpqResult, SpqError> {
         let scratch;
         let ctx = match ctx {
             Some(ctx) => ctx,
@@ -518,6 +488,7 @@ impl SpqExecutor {
                 &scratch
             }
         };
+        let runner = JobRunner::new(self.cluster);
         /// One shuffle record's in-memory wire size for byte accounting.
         fn record_bytes<T: spq_mapreduce::MapReduceTask>(_: &T) -> u64 {
             std::mem::size_of::<(T::Key, T::Value)>() as u64
@@ -532,7 +503,7 @@ impl SpqExecutor {
                     task = task.with_routing(routing);
                 }
                 let record_bytes = record_bytes(&task);
-                let out = backend.execute(ctx, &task, splits)?;
+                let out = runner.run_in(ctx, &task, splits)?;
                 let stats = out.stats.clone();
                 let shuffle_bytes = stats.shuffle_records * record_bytes;
                 (out.into_flat(), stats, shuffle_bytes)

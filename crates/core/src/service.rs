@@ -34,10 +34,7 @@
 //!
 //! Requests **validate before execution** ([`QueryRequest::validate`]):
 //! a non-finite radius or a zero worker budget comes back as
-//! [`SpqError::InvalidQuery`] instead of a panic deep inside routing. The
-//! plain-`SpqQuery` engine methods ([`QueryEngine::query`] and friends)
-//! are deprecated shims; migrate to the typed path (see the migration
-//! notes in `docs/ARCHITECTURE.md`).
+//! [`SpqError::InvalidQuery`] instead of a panic deep inside routing.
 //!
 //! ```
 //! use spq_core::service::{Backend, QueryExecutor, QueryRequest, SpqService};
@@ -79,7 +76,7 @@ use std::str::FromStr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// One build-once [`QueryEngine`] over the whole dataset, executing
-    /// jobs on the in-process [`spq_mapreduce::LocalPool`].
+    /// jobs on the in-process [`spq_mapreduce::JobRunner`] pool.
     Local,
     /// A [`ShardedEngine`]: the data
     /// objects are sliced into `shards` per-shard stores (features are
@@ -247,9 +244,9 @@ impl QueryRequest {
         self
     }
 
-    /// Checks the request before execution. The typed path rejects inputs
-    /// that the permissive shims would either panic on (non-finite radius
-    /// reaches a routing assert) or answer degenerately (`k == 0`).
+    /// Checks the request before execution, rejecting inputs the engines
+    /// would either panic on (non-finite radius reaches a routing assert)
+    /// or answer degenerately (`k == 0`).
     pub fn validate(&self) -> Result<(), SpqError> {
         if !self.query.radius.is_finite() || self.query.radius < 0.0 {
             return Err(SpqError::invalid_query(format!(
@@ -323,7 +320,8 @@ pub struct QueryStats {
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
     /// The global top-k, canonical order (score desc, id asc) — the same
-    /// bytes [`QueryEngine::query`] returns for the same query.
+    /// bytes a fresh [`SpqExecutor::run_dataset`] job returns for the same
+    /// query.
     pub results: Vec<RankedObject>,
     /// Per-query execution statistics.
     pub stats: QueryStats,
@@ -464,8 +462,9 @@ pub enum SpqService {
     Local(QueryEngine),
     /// Serving through a scatter/gather [`ShardedEngine`].
     Sharded(ShardedEngine),
-    /// Serving through a [`RemoteEngine`] over TCP worker processes.
-    Remote(RemoteEngine),
+    /// Serving through a [`RemoteEngine`] over TCP worker processes
+    /// (boxed: it is the largest engine).
+    Remote(Box<RemoteEngine>),
 }
 
 impl SpqService {
@@ -483,9 +482,9 @@ impl SpqService {
             Backend::Sharded { shards } => Ok(SpqService::Sharded(ShardedEngine::new(
                 executor, dataset, shards,
             )?)),
-            Backend::Remote { workers } => Ok(SpqService::Remote(RemoteEngine::build(
+            Backend::Remote { workers } => Ok(SpqService::Remote(Box::new(RemoteEngine::build(
                 executor, dataset, workers,
-            )?)),
+            )?))),
         }
     }
 

@@ -45,14 +45,10 @@ pub const WALL_CLOCK_SANCTIONED: &[Sanctioned] = &[
                     never wall-clock-driven",
     },
     Sanctioned {
-        prefix: "crates/mapreduce/src/backend.rs",
-        rationale: "map/shuffle/reduce phase timings feeding PhaseTimings \
-                    counters only",
-    },
-    Sanctioned {
-        prefix: "crates/mapreduce/src/remote/worker.rs",
-        rationale: "per-request serve timing in the worker loop, reported in \
-                    worker stats frames that carry no result data",
+        prefix: "crates/mapreduce/src/job.rs",
+        rationale: "map/shuffle/reduce phase and per-task durations feeding \
+                    JobStats/TaskStats only — records and counters never read \
+                    the clock",
     },
 ];
 

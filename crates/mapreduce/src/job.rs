@@ -71,13 +71,14 @@
 //! }
 //! ```
 
-use crate::backend::{ExecutionBackend, LocalPool};
 use crate::cluster::ClusterConfig;
 use crate::counters::Counters;
-use crate::stats::{JobStats, Phase};
-use crate::task::MapReduceTask;
+use crate::pool::run_tasks;
+use crate::stats::{JobStats, Phase, TaskStats};
+use crate::task::{GroupValues, MapContext, MapReduceTask, ReduceContext};
 use parking_lot::Mutex;
 use std::fmt;
+use std::time::Instant;
 
 /// Counter: reduce-group values left unconsumed by early termination.
 pub const COUNTER_REDUCE_SKIPPED: &str = "reduce.records_skipped";
@@ -96,20 +97,6 @@ pub enum JobError {
         /// Captured panic message.
         message: String,
     },
-    /// The task cannot run on a remote backend: it declares no
-    /// `REMOTE_KIND` (see [`MapReduceTask`]) or the worker does not have
-    /// it registered.
-    NotRemotable {
-        /// The task's type or wire-kind name.
-        task: String,
-    },
-    /// The remote transport or worker-side execution failed after every
-    /// retry — including the case where all workers are on the exclusion
-    /// list.
-    Remote {
-        /// What happened, including the per-worker failure trail.
-        message: String,
-    },
 }
 
 impl fmt::Display for JobError {
@@ -120,10 +107,6 @@ impl fmt::Display for JobError {
                 task_index,
                 message,
             } => write!(f, "{phase} task {task_index} panicked: {message}"),
-            JobError::NotRemotable { task } => {
-                write!(f, "task {task} is not registered for remote execution")
-            }
-            JobError::Remote { message } => write!(f, "remote job failed: {message}"),
         }
     }
 }
@@ -145,8 +128,8 @@ pub struct JobOutput<O> {
 
 impl<O> JobOutput<O> {
     /// Assembles a job output from per-reducer vectors, caching the record
-    /// count. Crate-internal: only execution backends build outputs.
-    pub(crate) fn from_parts(per_reducer: Vec<Vec<O>>, stats: JobStats) -> Self {
+    /// count.
+    fn from_parts(per_reducer: Vec<Vec<O>>, stats: JobStats) -> Self {
         let num_records = per_reducer.iter().map(Vec::len).sum();
         Self {
             per_reducer,
@@ -230,36 +213,54 @@ impl JobContext {
     }
 }
 
-/// Executes [`MapReduceTask`]s over horizontally partitioned input on the
-/// in-process [`LocalPool`] backend.
+/// Executes [`MapReduceTask`]s over horizontally partitioned input on a
+/// bounded in-process worker pool.
 ///
-/// `JobRunner` is the convenience entry point most callers want: it fixes
-/// the backend to the bounded worker pool and keeps the one-shot
-/// [`run`](Self::run) / streaming [`run_in`](Self::run_in) API stable.
-/// Code that needs to choose *where* tasks run — a different pool, a
-/// future remote placement — goes through
-/// [`ExecutionBackend`] directly.
+/// Map tasks run on at most [`ClusterConfig::workers`] threads, the
+/// shuffle concatenates pre-grouped sub-bucket runs into exactly-sized
+/// buffers on the submitting thread, and reduce tasks run on the pool
+/// again.
+///
+/// The contract every job honours (it is what all of `spq-core`'s
+/// byte-identity guarantees rest on):
+///
+/// * **Determinism** — for a fixed task and input, the returned records
+///   and counters are identical across calls and across worker counts;
+///   only measured durations may differ.
+/// * **Output order** — [`JobOutput`] holds outputs in reducer order, with
+///   each reducer's records in its emission order.
+/// * **Failure** — a panicking task surfaces as [`JobError::TaskPanicked`]
+///   with the phase and task index; it never tears down the caller.
 #[derive(Debug, Clone, Default)]
 pub struct JobRunner {
-    backend: LocalPool,
+    config: ClusterConfig,
 }
+
+type MapTaskResult<T> = (
+    Vec<Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>>,
+    TaskStats,
+    Counters,
+);
+
+/// One reducer's shuffled input — the concatenated records plus the start
+/// offset of each sort run — handed off to its reduce task exactly once.
+type ReduceInput<T> = (
+    Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>,
+    Vec<usize>,
+);
+
+/// One map task's emitted buckets, indexed `reducer * num_subs + sub`.
+type MapBuckets<T> = Vec<Vec<(<T as MapReduceTask>::Key, <T as MapReduceTask>::Value)>>;
 
 impl JobRunner {
     /// Creates a runner with the given cluster configuration.
     pub fn new(config: ClusterConfig) -> Self {
-        Self {
-            backend: LocalPool::new(config),
-        }
+        Self { config }
     }
 
     /// The configured cluster.
     pub fn config(&self) -> ClusterConfig {
-        self.backend.config()
-    }
-
-    /// The [`LocalPool`] backend the runner executes on.
-    pub fn backend(&self) -> LocalPool {
-        self.backend
+        self.config
     }
 
     /// Runs one job: each element of `splits` becomes a map task; each of
@@ -284,18 +285,186 @@ impl JobRunner {
     /// semantics and identical (deterministic) output, but the per-task
     /// counter sets are checked out of — and recycled back into — `ctx`
     /// instead of being allocated per job.
-    ///
-    /// Since the backend split, this is sugar for
-    /// `self.backend().execute(ctx, task, splits)` — the map → shuffle →
-    /// reduce pipeline itself lives in
-    /// [`LocalPool::execute`](crate::backend::LocalPool).
     pub fn run_in<T: MapReduceTask>(
         &self,
         ctx: &JobContext,
         task: &T,
         splits: &[Vec<T::Input>],
     ) -> Result<JobOutput<T::Output>, JobError> {
-        self.backend.execute(ctx, task, splits)
+        let num_reducers = task.num_reducers();
+        assert!(num_reducers > 0, "job needs at least one reducer");
+        let num_subs = task.num_subbuckets();
+        assert!(num_subs > 0, "job needs at least one subbucket");
+        let job_start = Instant::now();
+
+        // ---- Map phase -------------------------------------------------
+        let map_start = Instant::now();
+        let map_results: Vec<MapTaskResult<T>> =
+            run_tasks(self.config.workers, splits.len(), |i| {
+                let t0 = Instant::now();
+                let mut buckets: Vec<Vec<(T::Key, T::Value)>> =
+                    (0..num_reducers * num_subs).map(|_| Vec::new()).collect();
+                let mut counters = ctx.checkout_counters();
+                let mut records_out = 0u64;
+                let mut ctx = MapContext {
+                    buckets: &mut buckets,
+                    num_subbuckets: num_subs,
+                    counters: &mut counters,
+                    records_out: &mut records_out,
+                };
+                for record in &splits[i] {
+                    task.map(record, &mut ctx);
+                }
+                let stats = TaskStats {
+                    duration: t0.elapsed(),
+                    records_in: splits[i].len() as u64,
+                    records_out,
+                };
+                (buckets, stats, counters)
+            })
+            .map_err(|p| JobError::TaskPanicked {
+                phase: Phase::Map,
+                task_index: p.task_index,
+                message: p.message,
+            })?;
+        let map_wall = map_start.elapsed();
+
+        // ---- Shuffle: regroup map buckets by reducer --------------------
+        // Each reducer's input is assembled run by run (sub-bucket order,
+        // map-task order within a run) into one exactly-sized buffer, so
+        // the runs arrive pre-grouped and nothing is re-allocated mid-way.
+        // The deterministic concatenation order, together with the
+        // deterministic per-run sort, makes the job deterministic under
+        // any worker count.
+        let shuffle_start = Instant::now();
+        let mut counters = Counters::new();
+        let mut map_tasks = Vec::with_capacity(map_results.len());
+        let mut all_buckets: Vec<MapBuckets<T>> = Vec::with_capacity(map_results.len());
+        let mut shuffle_records = 0u64;
+        for (buckets, stats, task_counters) in map_results {
+            counters.merge(&task_counters);
+            ctx.recycle_counters(task_counters);
+            shuffle_records += stats.records_out;
+            map_tasks.push(stats);
+            all_buckets.push(buckets);
+        }
+        let mut reducer_inputs: Vec<ReduceInput<T>> = Vec::with_capacity(num_reducers);
+        for r in 0..num_reducers {
+            let total: usize = all_buckets
+                .iter()
+                .map(|b| {
+                    (0..num_subs)
+                        .map(|s| b[r * num_subs + s].len())
+                        .sum::<usize>()
+                })
+                .sum();
+            let mut input = Vec::with_capacity(total);
+            let mut run_starts = Vec::with_capacity(num_subs + 1);
+            for sub in 0..num_subs {
+                run_starts.push(input.len());
+                for buckets in &mut all_buckets {
+                    input.append(&mut buckets[r * num_subs + sub]);
+                }
+            }
+            run_starts.push(input.len());
+            reducer_inputs.push((input, run_starts));
+        }
+        let shuffle_wall = shuffle_start.elapsed();
+
+        // ---- Reduce phase ----------------------------------------------
+        // The reducer-side sort (Hadoop's merge) is attributed to the
+        // reduce task's duration, as in Hadoop. Only runs the task did not
+        // pre-group on the map side are sorted — for a fully sub-bucketed
+        // task this phase is comparison-free.
+        let reduce_start = Instant::now();
+        let slots: Vec<Mutex<ReduceInput<T>>> =
+            reducer_inputs.into_iter().map(Mutex::new).collect();
+        let reduce_results: Vec<(Vec<T::Output>, TaskStats, Counters)> =
+            run_tasks(self.config.workers, num_reducers, |r| {
+                let t0 = Instant::now();
+                // `run_tasks` claims each index exactly once, so this
+                // moves reducer `r`'s whole input out of its slot.
+                let (mut buffer, run_starts) = std::mem::take(&mut *slots[r].lock());
+                let records_in = buffer.len() as u64;
+                // Unstable sort: Hadoop's merge likewise leaves the order
+                // of equal composite keys unspecified; pdqsort is
+                // deterministic for a given input order, which the
+                // map-task-ordered concatenation above fixes.
+                for sub in 0..num_subs {
+                    if task.subbucket_needs_sort(sub) {
+                        buffer[run_starts[sub]..run_starts[sub + 1]]
+                            .sort_unstable_by(|a, b| task.sort_cmp(&a.0, &b.0));
+                    }
+                }
+                // Canary for the sub-bucket contract (task.rs): sort
+                // order must never go backwards across a run boundary,
+                // or grouping would split a group across runs and
+                // reduce() would run on partial values. (Order *inside*
+                // a run the task declared unsorted is the task's own
+                // responsibility — it promised order-insensitivity.)
+                #[cfg(debug_assertions)]
+                for &b in run_starts.iter().take(num_subs).skip(1) {
+                    if b > 0 && b < buffer.len() {
+                        debug_assert!(
+                            task.sort_cmp(&buffer[b - 1].0, &buffer[b].0)
+                                != std::cmp::Ordering::Greater,
+                            "sub-bucket contract violated: subbucket() disagrees with \
+                             sort_cmp() for keys routed to reducer {r}"
+                        );
+                    }
+                }
+
+                let mut out = Vec::new();
+                let mut task_counters = ctx.checkout_counters();
+                let mut source = buffer.into_iter().peekable();
+                while let Some((group_key, _)) = source.peek() {
+                    let group_key = group_key.clone();
+                    let mut values = GroupValues::new(task, &group_key, &mut source);
+                    let mut ctx = ReduceContext {
+                        out: &mut out,
+                        counters: &mut task_counters,
+                    };
+                    task.reduce(&group_key, &mut values, &mut ctx);
+                    let skipped = values.drain_remaining();
+                    task_counters.add(COUNTER_REDUCE_SKIPPED, skipped);
+                    task_counters.inc(COUNTER_REDUCE_GROUPS);
+                }
+                let stats = TaskStats {
+                    duration: t0.elapsed(),
+                    records_in,
+                    records_out: out.len() as u64,
+                };
+                (out, stats, task_counters)
+            })
+            .map_err(|p| JobError::TaskPanicked {
+                phase: Phase::Reduce,
+                task_index: p.task_index,
+                message: p.message,
+            })?;
+        let reduce_wall = reduce_start.elapsed();
+
+        let mut per_reducer = Vec::with_capacity(num_reducers);
+        let mut reduce_tasks = Vec::with_capacity(num_reducers);
+        for (out, stats, task_counters) in reduce_results {
+            counters.merge(&task_counters);
+            ctx.recycle_counters(task_counters);
+            reduce_tasks.push(stats);
+            per_reducer.push(out);
+        }
+
+        Ok(JobOutput::from_parts(
+            per_reducer,
+            JobStats {
+                map_tasks,
+                reduce_tasks,
+                map_wall,
+                shuffle_wall,
+                reduce_wall,
+                total_wall: job_start.elapsed(),
+                shuffle_records,
+                counters,
+            },
+        ))
     }
 }
 
@@ -654,18 +823,14 @@ mod tests {
         let err = runner
             .run(&PanickyMap, &[vec![1, 2], vec![13]])
             .unwrap_err();
-        match err {
-            JobError::TaskPanicked {
-                phase,
-                task_index,
-                ref message,
-            } => {
-                assert_eq!(phase, Phase::Map);
-                assert_eq!(task_index, 1);
-                assert!(message.contains("unlucky"));
-            }
-            ref other => panic!("expected TaskPanicked, got {other:?}"),
-        }
+        let JobError::TaskPanicked {
+            phase,
+            task_index,
+            ref message,
+        } = err;
+        assert_eq!(phase, Phase::Map);
+        assert_eq!(task_index, 1);
+        assert!(message.contains("unlucky"));
         assert!(err.to_string().contains("map task 1"));
     }
 
@@ -673,10 +838,8 @@ mod tests {
     fn reduce_panic_becomes_job_error() {
         let runner = JobRunner::new(ClusterConfig::with_workers(2));
         let err = runner.run(&PanickyMap, &[vec![1, 99]]).unwrap_err();
-        match err {
-            JobError::TaskPanicked { phase, .. } => assert_eq!(phase, Phase::Reduce),
-            other => panic!("expected TaskPanicked, got {other:?}"),
-        }
+        let JobError::TaskPanicked { phase, .. } = err;
+        assert_eq!(phase, Phase::Reduce);
     }
 
     #[test]

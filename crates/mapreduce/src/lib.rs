@@ -18,13 +18,11 @@
 //! * [`MapReduceTask`] — one trait bundling map, partition, sort, group and
 //!   reduce (the paper's Map/Partitioner/Comparator/Reduce quadruple).
 //! * [`JobRunner`] — executes a task over horizontally partitioned input
-//!   splits on a bounded worker pool, with a sort-based shuffle.
-//! * [`ExecutionBackend`] — the placement seam underneath the runner:
-//!   *where* a planned job's map/reduce tasks run. [`LocalPool`] is the
-//!   in-process implementation; [`remote::RemoteBackend`] ships whole
-//!   jobs to worker processes over the framed TCP protocol in [`remote`],
-//!   with backoff connect, per-task deadlines, worker exclusion and
-//!   deterministic fault injection.
+//!   splits on a bounded worker pool, with a sort-based shuffle. Every
+//!   job runs through it.
+//! * [`remote`] — the framed TCP transport (backoff connect, per-call
+//!   deadlines, deterministic fault injection) and the [`WorkerServer`]
+//!   that `spq-core`'s shard hosts serve on.
 //! * [`GroupValues`] — the streaming per-group value iterator handed to
 //!   reducers; **early termination** is simply returning before the
 //!   iterator is exhausted, and the runtime accounts skipped records.
@@ -39,7 +37,6 @@
 //! volume (duplication factor) — while staying deterministic and
 //! dependency-light.
 
-pub mod backend;
 pub mod cluster;
 pub mod counters;
 pub mod job;
@@ -48,10 +45,9 @@ pub mod remote;
 pub mod stats;
 pub mod task;
 
-pub use backend::{BackendDescriptor, ExecutionBackend, LocalPool};
 pub use cluster::{ClusterConfig, SimulatedCluster, WorkersEnvError};
 pub use counters::Counters;
 pub use job::{JobContext, JobError, JobOutput, JobRunner};
-pub use remote::{FaultPlan, RemoteBackend, WorkerRegistry, WorkerServer};
+pub use remote::{FaultPlan, WorkerServer};
 pub use stats::{JobStats, Phase, TaskStats};
 pub use task::{GroupValues, MapContext, MapReduceTask, ReduceContext};

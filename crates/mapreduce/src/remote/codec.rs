@@ -56,12 +56,6 @@ pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-/// Appends a little-endian `u16`.
-#[inline]
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a little-endian `u32`.
 #[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -127,11 +121,6 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u32`.
@@ -275,7 +264,6 @@ mod tests {
     fn scalar_round_trip() {
         let mut out = Vec::new();
         put_u8(&mut out, 7);
-        put_u16(&mut out, 1025);
         put_u32(&mut out, 70_000);
         put_u64(&mut out, u64::MAX - 1);
         put_f64(&mut out, -0.25);
@@ -283,7 +271,6 @@ mod tests {
         put_bytes(&mut out, &[1, 2, 3]);
         let mut r = ByteReader::new(&out);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 1025);
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.f64().unwrap(), -0.25);

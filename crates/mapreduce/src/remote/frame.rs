@@ -13,9 +13,11 @@
 //! All header fields are little-endian. The checksum lets the receiver
 //! reject a corrupted payload *before* any structural decoding happens,
 //! and the explicit length (capped at [`MAX_FRAME_LEN`]) bounds the
-//! allocation a frame can demand. A short read anywhere — header or
-//! payload — surfaces as [`FrameError::Truncated`], which is how a peer
-//! hanging up mid-frame is observed.
+//! allocation a frame can demand. The payload buffer grows as bytes
+//! arrive rather than being sized from the unverified header, so a
+//! header that lies about its length costs nothing. A short read
+//! anywhere — header or payload — surfaces as [`FrameError::Truncated`],
+//! which is how a peer hanging up mid-frame is observed.
 
 use std::io::{Read, Write};
 
@@ -33,10 +35,6 @@ pub const HEADER_LEN: usize = 20;
 pub const OP_PING: u16 = 1;
 /// Reply to [`OP_PING`].
 pub const OP_PONG: u16 = 2;
-/// A serialized map/reduce job (task spec + input splits).
-pub const OP_JOB: u16 = 3;
-/// Successful job reply: per-reducer outputs + job statistics.
-pub const OP_JOB_OK: u16 = 4;
 /// Typed error reply to any request.
 pub const OP_ERROR: u16 = 5;
 /// Installs a query shard (executor config + data slice + features).
@@ -170,22 +168,34 @@ pub(crate) fn write_frame_with(
     Ok(())
 }
 
+/// Largest payload buffer reserved before any payload byte has arrived;
+/// beyond it the buffer grows with the bytes actually received.
+const INITIAL_PAYLOAD_CAPACITY: usize = 64 << 10;
+
+/// The `N` header bytes starting at `at`.
+fn header_field<const N: usize>(header: &[u8; HEADER_LEN], at: usize) -> [u8; N] {
+    std::array::from_fn(|i| header[at + i])
+}
+
 /// Reads one frame, verifying magic, length cap and checksum.
 pub fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let magic = u32::from_le_bytes(header_field(&header, 0));
     if magic != MAGIC {
         return Err(FrameError::BadMagic { found: magic });
     }
-    let opcode = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    let opcode = u16::from_le_bytes(header_field(&header, 4));
+    let len = u32::from_le_bytes(header_field(&header, 8));
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversize { len });
     }
-    let expected = u64::from_le_bytes(header[12..20].try_into().unwrap());
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let expected = u64::from_le_bytes(header_field(&header, 12));
+    let mut payload = Vec::with_capacity((len as usize).min(INITIAL_PAYLOAD_CAPACITY));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(FrameError::Truncated);
+    }
     let found = fnv1a(&payload);
     if found != expected {
         return Err(FrameError::Corrupt { expected, found });
@@ -254,17 +264,49 @@ mod tests {
         );
     }
 
+    /// A reader that records the largest buffer `read` is handed.
+    struct LargestBuffer<R> {
+        inner: R,
+        largest: usize,
+    }
+
+    impl<R: Read> Read for LargestBuffer<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn lying_length_is_truncated_without_a_cap_sized_buffer() {
+        // A header claiming the full cap, then EOF: the payload buffer
+        // must grow with the bytes that arrive, not with the claim.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, OP_PING, &[]).unwrap();
+        buf[8..12].copy_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        let mut reader = LargestBuffer {
+            inner: Cursor::new(buf),
+            largest: 0,
+        };
+        assert_eq!(read_frame(&mut reader), Err(FrameError::Truncated));
+        assert!(
+            reader.largest <= INITIAL_PAYLOAD_CAPACITY,
+            "read_frame handed the reader a {}-byte buffer",
+            reader.largest
+        );
+    }
+
     #[test]
     fn corruption_is_detected_by_checksum() {
         let mut buf = Vec::new();
-        write_frame_with(&mut buf, OP_JOB_OK, b"payload", true).unwrap();
+        write_frame_with(&mut buf, OP_PONG, b"payload", true).unwrap();
         assert!(matches!(
             read_frame(&mut Cursor::new(&buf)),
             Err(FrameError::Corrupt { .. })
         ));
         // Even an empty payload can be corrupted (via the checksum field).
         let mut buf = Vec::new();
-        write_frame_with(&mut buf, OP_JOB_OK, &[], true).unwrap();
+        write_frame_with(&mut buf, OP_PONG, &[], true).unwrap();
         assert!(matches!(
             read_frame(&mut Cursor::new(&buf)),
             Err(FrameError::Corrupt { .. })

@@ -115,21 +115,17 @@ proptest! {
                     .iter()
                     .map(|r| local.execute(r).unwrap())
                     .collect();
-                // The facade's local backend returns the shim API's bytes,
-                // and — because every reducer now produces the canonical
-                // top-k of its cell — those bytes equal the centralized
-                // brute force even under k-boundary score ties.
+                // The facade's local backend returns the bare engine's
+                // bytes, and — because every reducer now produces the
+                // canonical top-k of its cell — those bytes equal the
+                // centralized brute force even under k-boundary score ties.
                 let engine = QueryEngine::new(exec.clone(), dataset.clone());
                 for (request, response) in requests.iter().zip(&reference) {
-                    // Deliberate use of the deprecated shim: this is the
-                    // parity coverage keeping it byte-identical to the
-                    // typed path for as long as it lives.
-                    #[allow(deprecated)]
-                    let shim = engine.query(&request.query).unwrap().top_k;
+                    let direct = engine.execute(request).unwrap().results;
                     prop_assert_eq!(
                         &response.results,
-                        &shim,
-                        "{} balancing={:?}: facade diverged from shim",
+                        &direct,
+                        "{} balancing={:?}: facade diverged from the engine",
                         algo, balancing
                     );
                     let oracle =

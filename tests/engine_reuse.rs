@@ -4,7 +4,7 @@
 //! splits, keyword index and per-radius routing plans are built once and
 //! reused by every query. That reuse must be invisible: for any world,
 //! any algorithm, either partitioning strategy and cluster workers in
-//! {1, 2, 8}, a sequence of `engine.query` calls must return results —
+//! {1, 2, 8}, a sequence of `engine.execute` calls must return results —
 //! and counters, and shuffle volumes — **byte-identical** to the same
 //! sequence of fresh `SpqExecutor::run_dataset` jobs, with interleaved
 //! replays not disturbing later queries. `execute_batch` must match
@@ -89,16 +89,11 @@ fn build_queries(specs: &[(Vec<u32>, u8, u8)]) -> Vec<SpqQuery> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// N sequential `engine.query` calls are byte-identical to N fresh
+    /// N sequential `engine.execute` calls are byte-identical to N fresh
     /// `Executor::run_dataset` jobs, for every algorithm × partitioning ×
-    /// worker count, including counters and shuffle volume; replaying a
-    /// query after serving others returns the same bytes again.
-    ///
-    /// Deliberately exercises the deprecated `query` shim: `SpqResult` is
-    /// the only surface exposing the raw MapReduce counters this parity
-    /// check compares, and the shim must stay byte-identical to the typed
-    /// path for as long as it lives.
-    #[allow(deprecated)]
+    /// worker count, including counters (from the response's job trace)
+    /// and shuffle volume; replaying a query after serving others returns
+    /// the same bytes again.
     #[test]
     fn prop_engine_reuse_matches_fresh_jobs(
         (data, features, query_specs, g) in world()
@@ -116,25 +111,31 @@ proptest! {
                     let engine = QueryEngine::new(exec.clone(), dataset.clone());
                     let mut first_pass = Vec::new();
                     for q in &queries {
-                        let served = engine.query(q).unwrap();
+                        let served = engine
+                            .execute(&QueryRequest::new(q.clone()).with_trace())
+                            .unwrap();
+                        let job = &served.trace.as_ref().unwrap()[0];
                         let fresh = exec.run_dataset(&dataset, q).unwrap();
                         prop_assert_eq!(
-                            &served.top_k, &fresh.top_k,
+                            &served.results, &fresh.top_k,
                             "{} workers={} balancing={:?} {}: engine diverged",
                             algo, workers, balancing, q
                         );
                         prop_assert_eq!(
-                            &served.stats.counters, &fresh.stats.counters,
+                            &job.counters, &fresh.stats.counters,
                             "{} workers={} {}: counters diverged", algo, workers, q
                         );
-                        prop_assert_eq!(served.stats.shuffle_records, fresh.stats.shuffle_records);
-                        prop_assert_eq!(served.partition.num_cells(), fresh.partition.num_cells());
-                        first_pass.push(served.top_k);
+                        prop_assert_eq!(job.shuffle_records, fresh.stats.shuffle_records);
+                        prop_assert_eq!(served.stats.shuffle_bytes, fresh.shuffle_bytes);
+                        // One reduce task per cell of the planned partition.
+                        prop_assert_eq!(job.reduce_tasks.len(), fresh.partition.num_cells());
+                        first_pass.push(served.results);
                     }
                     // Replay after the whole stream: prebuilt state is not
                     // corrupted by serving other queries in between.
                     for (q, expect) in queries.iter().zip(&first_pass) {
-                        prop_assert_eq!(&engine.query(q).unwrap().top_k, expect);
+                        let replay = engine.execute(&QueryRequest::new(q.clone())).unwrap();
+                        prop_assert_eq!(&replay.results, expect);
                     }
                     // The plan cache held one plan per distinct radius.
                     let distinct_radii = {

@@ -178,11 +178,7 @@ fn crlf_dumps_ingest_like_unix_dumps() {
 /// A loaded dump must answer queries byte-identically to the in-memory
 /// path (a fresh executor job over the same objects), for all three
 /// algorithms — the property the CI ingest gate asserts at 100k+ objects.
-///
-/// Deliberately exercises the deprecated `query` shim: `SpqResult` is the
-/// only surface exposing the raw MapReduce counters this parity check
-/// compares against the fresh job.
-#[allow(deprecated)]
+/// The MapReduce counters come from the response's job trace.
 #[test]
 fn loaded_dump_serves_all_algorithms_byte_identically() {
     let mut files = TempFiles(Vec::new());
@@ -222,13 +218,16 @@ fn loaded_dump_serves_all_algorithms_byte_identically() {
         );
         let (shared, _) = loaded.dataset.to_shared_splits(8);
         for q in &queries {
-            let from_engine = engine.query(q).expect("engine query");
+            let from_engine = engine
+                .execute(&QueryRequest::new(q.clone()).with_trace())
+                .expect("engine query");
             let in_memory = exec.run_dataset(&shared, q).expect("fresh job");
             assert_eq!(
-                from_engine.top_k, in_memory.top_k,
+                from_engine.results, in_memory.top_k,
                 "{algorithm}: loaded-dump path diverged on {q}"
             );
-            assert_eq!(from_engine.stats.counters, in_memory.stats.counters);
+            let job = &from_engine.trace.as_ref().expect("trace requested")[0];
+            assert_eq!(job.counters, in_memory.stats.counters);
         }
     }
 }

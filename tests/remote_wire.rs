@@ -1,68 +1,38 @@
-//! Round-trip properties of the remote frame and job codecs.
+//! Round-trip properties of the remote frame and statistics codecs.
 //!
-//! The remote backend's correctness argument leans on exact
-//! serialization: a task batch shipped to a worker and the grouped output
-//! shipped back must decode to precisely what was encoded, for any
-//! content — including empty batches, empty splits, empty outputs and
-//! records near the frame-size cap. These tests mirror the
-//! `sharded::wire` round-trip style one layer down, at the frame and job
-//! codec (`spq::mapreduce::remote`) the TCP transport actually speaks.
+//! The remote engine's correctness argument leans on exact
+//! serialization: every frame a worker sends must decode to precisely
+//! what was encoded, for any content — including empty payloads and
+//! payloads near the frame-size cap — and the job statistics a shard
+//! ships back with its answer must survive the trip. These tests mirror
+//! the `sharded::wire` round-trip style one layer down, at the frame and
+//! statistics codec (`spq::mapreduce::remote`) the TCP transport
+//! actually speaks.
 
 use proptest::prelude::*;
 use spq::mapreduce::remote::codec::{
-    decode_counters, encode_counters, put_str, put_u64, ByteReader,
+    decode_counters, decode_job_stats, encode_counters, encode_job_stats, ByteReader,
 };
 use spq::mapreduce::remote::frame::MAGIC;
-use spq::mapreduce::remote::job::{decode_job, decode_job_output, encode_job, encode_job_output};
-use spq::mapreduce::remote::{read_frame, write_frame, CodecError, FrameError};
-use spq::mapreduce::ExecutionBackend;
+use spq::mapreduce::remote::{read_frame, write_frame, FrameError};
 use spq::mapreduce::{
-    ClusterConfig, Counters, GroupValues, JobContext, LocalPool, MapContext, MapReduceTask,
+    ClusterConfig, Counters, GroupValues, JobRunner, JobStats, MapContext, MapReduceTask,
     ReduceContext,
 };
 use std::cmp::Ordering;
 use std::io::Cursor;
 
-/// The remotable task the job codec is exercised with: word count over
-/// string records, the canonical MapReduce shape.
-struct WireCount {
+/// Word count over string records, the canonical MapReduce shape: the
+/// job whose statistics the codec is exercised with.
+struct WordCount {
     reducers: usize,
 }
 
-impl MapReduceTask for WireCount {
+impl MapReduceTask for WordCount {
     type Input = String;
     type Key = String;
     type Value = u64;
     type Output = (String, u64);
-
-    const REMOTE_KIND: Option<&'static str> = Some("test.wire_count");
-
-    fn encode_spec(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.reducers as u64);
-    }
-
-    fn decode_spec(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            reducers: r.u64()? as usize,
-        })
-    }
-
-    fn encode_input(record: &String, out: &mut Vec<u8>) {
-        put_str(out, record);
-    }
-
-    fn decode_input(r: &mut ByteReader<'_>) -> Result<String, CodecError> {
-        Ok(r.str()?.to_owned())
-    }
-
-    fn encode_output(record: &(String, u64), out: &mut Vec<u8>) {
-        put_str(out, &record.0);
-        put_u64(out, record.1);
-    }
-
-    fn decode_output(r: &mut ByteReader<'_>) -> Result<(String, u64), CodecError> {
-        Ok((r.str()?.to_owned(), r.u64()?))
-    }
 
     fn num_reducers(&self) -> usize {
         self.reducers
@@ -90,6 +60,12 @@ impl MapReduceTask for WireCount {
     ) {
         ctx.emit((group.clone(), values.map(|(_, v)| v).sum()));
     }
+}
+
+fn encoded_stats(stats: &JobStats) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_job_stats(stats, &mut bytes);
+    bytes
 }
 
 /// Strategy: input splits of lowercase-and-space records (what the word
@@ -169,46 +145,28 @@ proptest! {
         prop_assert!(read_frame(&mut Cursor::new(&stream[..cut])).is_err());
     }
 
-    /// A task batch (spec + splits) round-trips exactly, including empty
-    /// batches and empty splits.
+    /// The statistics of a real job (per-task records, shuffle volume,
+    /// counters) round-trip exactly, including jobs over empty input.
     #[test]
-    fn prop_job_batch_round_trips(
-        reducers in 1usize..5,
-        splits in splits_strategy(5),
-    ) {
-        let task = WireCount { reducers };
-        let payload = encode_job("test.wire_count", &task, &splits);
-        let mut r = ByteReader::new(&payload);
-        let kind = r.str().unwrap().to_owned();
-        prop_assert_eq!(kind, "test.wire_count");
-        let (decoded_task, decoded_splits) = decode_job::<WireCount>(&mut r).unwrap();
-        prop_assert_eq!(decoded_task.reducers, reducers);
-        prop_assert_eq!(decoded_splits, splits);
-    }
-
-    /// A grouped job output (per-reducer records + statistics + counters)
-    /// round-trips exactly, including jobs that produce nothing.
-    #[test]
-    fn prop_job_output_round_trips(
+    fn prop_job_stats_round_trip(
         reducers in 1usize..4,
         splits in splits_strategy(4),
     ) {
-        let task = WireCount { reducers };
-        let output = LocalPool::new(ClusterConfig::with_workers(2))
-            .execute(&JobContext::new(), &task, &splits)
-            .unwrap();
-        let payload = encode_job_output::<WireCount>(&output);
-        let decoded = decode_job_output::<WireCount>(&payload).unwrap();
-        prop_assert_eq!(decoded.per_reducer(), output.per_reducer());
-        prop_assert_eq!(decoded.len(), output.len());
+        let stats = JobRunner::new(ClusterConfig::with_workers(2))
+            .run(&WordCount { reducers }, &splits)
+            .unwrap()
+            .stats;
+        let bytes = encoded_stats(&stats);
+        let mut r = ByteReader::new(&bytes);
+        let decoded = decode_job_stats(&mut r).unwrap();
+        prop_assert!(r.is_empty());
+        prop_assert_eq!(decoded.shuffle_records, stats.shuffle_records);
+        prop_assert_eq!(decoded.map_tasks.len(), stats.map_tasks.len());
+        prop_assert_eq!(decoded.map_input_records(), stats.map_input_records());
+        prop_assert_eq!(decoded.reduce_output_records(), stats.reduce_output_records());
         prop_assert_eq!(
-            decoded.stats.shuffle_records,
-            output.stats.shuffle_records
-        );
-        prop_assert_eq!(decoded.stats.map_tasks.len(), output.stats.map_tasks.len());
-        prop_assert_eq!(
-            decoded.stats.counters.iter().collect::<Vec<_>>(),
-            output.stats.counters.iter().collect::<Vec<_>>()
+            decoded.counters.iter().collect::<Vec<_>>(),
+            stats.counters.iter().collect::<Vec<_>>()
         );
     }
 
@@ -232,43 +190,32 @@ proptest! {
     }
 }
 
-/// A record at the upper end of what one frame can carry (a few MiB,
-/// under the 64 MiB cap) survives the batch codec byte-for-byte.
+/// A payload at the upper end of what one frame realistically carries (a
+/// few MiB, under the 64 MiB cap) survives the frame layer byte-for-byte.
 #[test]
 fn max_size_records_round_trip() {
-    let big = "x".repeat(4 << 20);
-    let task = WireCount { reducers: 2 };
-    let splits = vec![vec![big.clone()], Vec::new()];
-    let payload = encode_job("test.wire_count", &task, &splits);
-    assert!(payload.len() > 4 << 20);
-    let mut r = ByteReader::new(&payload);
-    assert_eq!(r.str().unwrap(), "test.wire_count");
-    let (_, decoded_splits) = decode_job::<WireCount>(&mut r).unwrap();
-    assert_eq!(decoded_splits, splits);
-
-    // And the frame layer carries it whole through a stream.
+    let payload = "x".repeat(4 << 20).into_bytes();
     let mut stream = Vec::new();
     write_frame(&mut stream, 3, &payload).unwrap();
-    let (_, got) = read_frame(&mut Cursor::new(&stream)).unwrap();
+    let (op, got) = read_frame(&mut Cursor::new(&stream)).unwrap();
+    assert_eq!(op, 3);
     assert_eq!(got, payload);
 }
 
-/// Truncating a job payload anywhere inside the spec or a record is a
-/// typed decode error, never a panic.
+/// Truncating encoded job statistics anywhere is a typed decode error,
+/// never a panic.
 #[test]
-fn truncated_job_payloads_are_errors() {
-    let task = WireCount { reducers: 2 };
-    let splits = vec![vec!["hello world".to_owned()]];
-    let payload = encode_job("test.wire_count", &task, &splits);
-    for cut in 0..payload.len() {
-        let mut r = ByteReader::new(&payload[..cut]);
-        let kind = r.str();
-        if kind.is_err() {
-            continue; // truncated inside the kind marker — also an error
-        }
+fn truncated_job_stats_are_errors() {
+    let splits = vec![vec!["hello world".to_owned()], vec!["hello".to_owned()]];
+    let stats = JobRunner::new(ClusterConfig::sequential())
+        .run(&WordCount { reducers: 2 }, &splits)
+        .unwrap()
+        .stats;
+    let bytes = encoded_stats(&stats);
+    for cut in 0..bytes.len() {
         assert!(
-            decode_job::<WireCount>(&mut r).is_err(),
-            "cut={cut} decoded from a truncated payload"
+            decode_job_stats(&mut ByteReader::new(&bytes[..cut])).is_err(),
+            "cut={cut} decoded from truncated statistics"
         );
     }
 }
